@@ -396,7 +396,8 @@ void RuleEngine::EnqueueDeferred(Firing firing, TxnId root) {
 }
 
 Status RuleEngine::ExecuteInSubtxn(Rule* rule, const EventOccurrencePtr& occ,
-                                   TxnId parent, bool action_only) {
+                                   TxnId parent, bool action_only,
+                                   bool* deadlock_victim) {
   uint64_t start_ns = RuleTimingStart(trace_);
   auto sub = db_->txns()->Begin(parent);
   if (!sub.ok()) return sub.status();
@@ -422,11 +423,8 @@ Status RuleEngine::ExecuteInSubtxn(Rule* rule, const EventOccurrencePtr& occ,
   }
 
   bool ran_action = false;
-  if (result.ok() && condition_true) {
-    {
-      std::unique_lock lock(mu_);
-      rule->stats.conditions_true++;
-    }
+  const bool condition_held = result.ok() && condition_true;
+  if (condition_held) {
     switch (rule->spec.action_coupling) {
       case RuleSpec::ActionCoupling::kSameAsCondition:
         result = rule->spec.action(session, *occ);
@@ -442,6 +440,9 @@ Status RuleEngine::ExecuteInSubtxn(Rule* rule, const EventOccurrencePtr& occ,
     }
   }
 
+  // Asked before the abort: finishing the subtransaction forgets it.
+  const bool victim = deadlock_victim != nullptr && !result.ok() &&
+                      db_->txns()->locks()->WasDeadlockVictim(sub.value());
   if (result.ok()) {
     result = session.Commit();
   } else {
@@ -472,8 +473,13 @@ Status RuleEngine::ExecuteInSubtxn(Rule* rule, const EventOccurrencePtr& occ,
     trace_.Append(std::move(entry));
   }
 
+  if (victim) {
+    *deadlock_victim = true;
+    return result;  // only the re-run's outcome counts in the stats
+  }
   {
     std::unique_lock lock(mu_);
+    if (condition_held) rule->stats.conditions_true++;
     if (ran_action && result.ok()) rule->stats.actions_run++;
     if (!result.ok()) rule->stats.failures++;
   }
@@ -491,51 +497,69 @@ Status RuleEngine::ExecuteInSubtxn(Rule* rule, const EventOccurrencePtr& occ,
   return result;
 }
 
+Status RuleEngine::RunFiring(const Firing& firing, TxnId parent,
+                             bool* deadlock_victim) {
+  Rule* rule;
+  {
+    std::shared_lock lock(mu_);
+    auto it = rules_.find(firing.rule);
+    if (it == rules_.end()) return Status::OK();
+    rule = it->second.get();
+  }
+  return ExecuteInSubtxn(rule, firing.occ, parent, firing.action_only,
+                         deadlock_victim);
+}
+
 Status RuleEngine::ExecuteSet(const std::vector<Firing>& firings,
                               TxnId parent) {
   Status first_error = Status::OK();
-  if (rule_pool_ == nullptr || firings.size() == 1) {
-    // Serial ring-sequence (§6.4 first-prototype strategy): the set is
-    // already ordered by priority + tie-break.
-    for (const Firing& f : firings) {
-      Rule* rule;
-      {
-        std::shared_lock lock(mu_);
-        auto it = rules_.find(f.rule);
-        if (it == rules_.end()) continue;
-        rule = it->second.get();
-      }
-      Status st = ExecuteInSubtxn(rule, f.occ, parent, f.action_only);
+  // Runs firings one at a time in order, stopping once a rule has aborted
+  // the triggering transaction.
+  auto run_serially = [&](const std::vector<Firing>& seq) -> Status {
+    for (const Firing& f : seq) {
+      Status st = RunFiring(f, parent);
       if (first_error.ok() && !st.ok()) first_error = st;
       if (!db_->txns()->IsActive(parent)) {
-        // A rule aborted the triggering transaction; stop the sequence.
         return Status::Aborted("triggering transaction aborted by rule");
       }
     }
     return first_error;
+  };
+
+  if (rule_pool_ == nullptr || firings.size() == 1) {
+    // Serial ring-sequence (§6.4 first-prototype strategy): the set is
+    // already ordered by priority + tie-break.
+    return run_serially(firings);
   }
 
   // Parallel sibling subtransactions. Priorities still order lower-level
-  // thread creation (§6.4), hence submission order.
+  // thread creation (§6.4), hence submission order. Siblings are not each
+  // other's ancestors, so two that read then write one object can deadlock
+  // on the upgrade; each task reports whether it was the victim.
   std::vector<std::future<Status>> futures;
   futures.reserve(firings.size());
-  for (const Firing& f : firings) {
-    futures.push_back(rule_pool_->SubmitWithResult([this, f, parent] {
-      Rule* rule;
-      {
-        std::shared_lock lock(mu_);
-        auto it = rules_.find(f.rule);
-        if (it == rules_.end()) return Status::OK();
-        rule = it->second.get();
-      }
-      return ExecuteInSubtxn(rule, f.occ, parent, f.action_only);
-    }));
+  std::unique_ptr<bool[]> victim(new bool[firings.size()]());
+  for (size_t i = 0; i < firings.size(); ++i) {
+    futures.push_back(rule_pool_->SubmitWithResult(
+        [this, &f = firings[i], parent, v = &victim[i]] {
+          return RunFiring(f, parent, v);
+        }));
   }
-  for (auto& fut : futures) {
-    Status st = fut.get();
-    if (first_error.ok() && !st.ok()) first_error = st;
+  std::vector<Firing> rerun;
+  for (size_t i = 0; i < futures.size(); ++i) {
+    Status st = futures[i].get();
+    if (victim[i]) {
+      rerun.push_back(firings[i]);
+    } else if (first_error.ok() && !st.ok()) {
+      first_error = st;
+    }
   }
-  return first_error;
+  // Moss's parent re-runs its aborted children, in priority order. Every
+  // sibling has finished, so a re-run cannot meet one again.
+  if (!rerun.empty() && !db_->txns()->IsActive(parent)) {
+    return Status::Aborted("triggering transaction aborted by rule");
+  }
+  return run_serially(rerun);
 }
 
 Status RuleEngine::OnPreCommit(TxnId txn) {

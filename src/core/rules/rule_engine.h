@@ -7,7 +7,15 @@
 // ring-sequence (the first-prototype strategy) or as parallel sibling
 // subtransactions (the nested-transaction strategy) — both are implemented
 // so the E1 bench can compare them, exactly the measurement the paper says
-// this design decision enables.
+// this design decision enables. Sibling subtransactions are not each other's
+// ancestors, so two that read and then write one object can deadlock; the
+// lock manager refuses one as the victim. Once the whole set has finished,
+// the parent re-runs each victim serially in priority order, in a fresh
+// subtransaction (Moss's parent retrying an aborted child), so both
+// strategies reach the same database state. A victim's first attempt is no
+// rule failure; only a failed re-run counts, and only it can abort the
+// triggering transaction. The triggering Invoke still returns OK and
+// reports per-rule failures through stats and the trace only.
 #pragma once
 
 #include <atomic>
@@ -102,8 +110,16 @@ class RuleEngine : public TxnListener {
   std::vector<Rule*> RulesForEvent(EventTypeId type);
 
   /// Condition+action (or action only) in a subtransaction of `parent`.
+  /// With `deadlock_victim` non-null, a subtransaction the lock manager
+  /// refused as a deadlock victim sets it and counts as no failure: the
+  /// caller re-runs the firing, and only that outcome counts.
   Status ExecuteInSubtxn(Rule* rule, const EventOccurrencePtr& occ,
-                         TxnId parent, bool action_only);
+                         TxnId parent, bool action_only,
+                         bool* deadlock_victim = nullptr);
+
+  /// ExecuteInSubtxn for one firing; OK if its rule was dropped meanwhile.
+  Status RunFiring(const Firing& firing, TxnId parent,
+                   bool* deadlock_victim = nullptr);
 
   /// A set of rules against one parent transaction, serial or parallel.
   Status ExecuteSet(const std::vector<Firing>& firings, TxnId parent);

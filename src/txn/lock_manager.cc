@@ -12,6 +12,12 @@ void LockManager::RegisterTxn(TxnId txn, TxnId parent) {
 void LockManager::UnregisterTxn(TxnId txn) {
   std::lock_guard<std::mutex> lock(mu_);
   parent_.erase(txn);
+  deadlock_victims_.erase(txn);
+}
+
+bool LockManager::WasDeadlockVictim(TxnId txn) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return deadlock_victims_.contains(txn);
 }
 
 bool LockManager::IsSelfOrAncestor(TxnId maybe_ancestor, TxnId txn) const {
@@ -97,6 +103,7 @@ Status LockManager::Acquire(TxnId txn, const Oid& resource, LockMode mode,
     }
     if (deadlock) {
       ++deadlocks_;
+      deadlock_victims_.insert(txn);
       result = Status::Aborted("deadlock on " + resource.ToString());
       break;
     }

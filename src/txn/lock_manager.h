@@ -22,7 +22,8 @@ class LockManager {
   /// before the first Acquire.
   void RegisterTxn(TxnId txn, TxnId parent);
 
-  /// Forget a finished transaction (after ReleaseAll/TransferLocks).
+  /// Forget a finished transaction (after ReleaseAll/TransferLocks),
+  /// including whether it was a deadlock victim.
   void UnregisterTxn(TxnId txn);
 
   /// Acquire (or upgrade to) `mode` on `resource`. Blocks while conflicting
@@ -48,6 +49,11 @@ class LockManager {
   /// True if `txn` holds `resource` in a mode covering `mode` (itself or
   /// via an ancestor, per Moss rules for reads).
   bool Holds(TxnId txn, const Oid& resource, LockMode mode);
+
+  /// True if an Acquire by `txn` was refused as a deadlock victim. Holds
+  /// until UnregisterTxn, so a parent can tell a victim child (worth
+  /// re-running) from one that failed on its own before aborting it.
+  bool WasDeadlockVictim(TxnId txn) const;
 
   /// Statistics.
   uint64_t deadlocks_detected() const {
@@ -84,6 +90,7 @@ class LockManager {
   std::unordered_map<TxnId, TxnId> parent_;
   // While blocked, a txn records the resource it waits for (wait-for graph).
   std::unordered_map<TxnId, Oid> waiting_on_;
+  std::unordered_set<TxnId> deadlock_victims_;
   uint64_t deadlocks_ = 0;
 };
 

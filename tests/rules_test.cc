@@ -519,6 +519,56 @@ TEST_F(RulesTest, ParallelRulesWritingSameObjectStaySerializable) {
   ASSERT_TRUE(s.Commit().ok());
 }
 
+// Forces the upgrade deadlock instead of waiting for the scheduler to find
+// it: both sibling subtransactions hold S on `sink` before either asks for
+// X, so the lock manager must refuse one as a deadlock victim. The parent
+// re-runs the victim once the set finishes; that first attempt is no rule
+// failure, so it neither counts nor aborts the trigger.
+TEST_F(RulesTest, ParallelRuleDeadlockVictimIsRerun) {
+  ReachOptions options;
+  options.rules.multi_rule_execution =
+      RuleEngineOptions::Execution::kParallelSubtransactions;
+  options.rules.parallel_rule_threads = 2;
+  OpenDb(std::move(options));
+  Oid counter = MakeCounter();
+  Oid sink = MakeCounter();
+  auto ev = db_->events()->DefineMethodEvent("bump_ev", "Counter", "bump");
+  std::atomic<int> calls{0};
+  std::atomic<int> read{0};
+  for (int i = 0; i < 2; ++i) {
+    RuleSpec spec;
+    spec.name = "w" + std::to_string(i);
+    spec.event = *ev;
+    spec.coupling = CouplingMode::kImmediate;
+    // Either rule may end up the victim; whichever does must not abort the
+    // trigger on its first attempt.
+    spec.abort_triggering_on_failure = true;
+    spec.action = [&, sink](Session& s, const EventOccurrence&) -> Status {
+      const bool first_round = calls.fetch_add(1) < 2;
+      auto n = s.GetAttr(sink, "n");
+      if (!n.ok()) return n.status();
+      if (first_round) {
+        read.fetch_add(1);
+        while (read.load() < 2) std::this_thread::yield();
+      }
+      return s.SetAttr(sink, "n", Value(n->as_int() + 1));
+    };
+    ASSERT_TRUE(db_->rules()->DefineRule(std::move(spec)).ok());
+  }
+  const uint64_t deadlocks_before =
+      db_->database()->txns()->locks()->deadlocks_detected();
+  Session s(db_->database());
+  ASSERT_TRUE(s.Begin().ok());
+  ASSERT_TRUE(s.Invoke(counter, "bump").ok());
+  EXPECT_GE(db_->database()->txns()->locks()->deadlocks_detected(),
+            deadlocks_before + 1);
+  EXPECT_EQ(calls.load(), 3);  // two siblings plus one re-run
+  EXPECT_EQ(db_->rules()->stats().failures, 0u);
+  EXPECT_TRUE(db_->database()->txns()->IsActive(s.current_txn()));
+  EXPECT_EQ(s.GetAttr(sink, "n")->as_int(), 2);
+  ASSERT_TRUE(s.Commit().ok());
+}
+
 TEST_F(RulesTest, AbortTriggeringOnFailure) {
   Oid counter = MakeCounter();
   auto ev = db_->events()->DefineMethodEvent("bump_ev", "Counter", "bump");
